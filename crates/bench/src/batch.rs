@@ -24,16 +24,14 @@
 //!   program carries its keys from lowering. Batching is off on both
 //!   sides because batch coalescing would amortize that per-request work
 //!   across whole batches and mask the comparison.
-//! * **no-arena** — the batched+cached configuration with the pooled
-//!   execution arenas disabled (`arena_kb = 0`); the only difference from
-//!   the batched side is where intermediate buffers come from, so the
-//!   batched/no-arena *allocation* delta (measured with the counting
-//!   allocator, [`crate::alloc`]) is exactly what the arena saves.
 //!
-//! Every answer from *both* services is byte-compared against a
+//! The batched side also reports its heap allocations per request,
+//! measured with the counting allocator ([`crate::alloc`]).
+//!
+//! Every answer from *every* service is byte-compared against a
 //! single-threaded reference computed up front; any mismatch is a
 //! correctness defect, not noise. The report carries QPS / exact latency
-//! quantiles for both sides, the match-cache hit rate, and the batch
+//! quantiles for every side, the match-cache hit rate, and the batch
 //! counters. Hot-swap staleness is covered by the companion soak
 //! ([`crate::concurrent::hot_swap_soak_with`] with a seeded mix), which
 //! runs the same skewed traffic while the snapshot is republished under it.
@@ -94,9 +92,6 @@ pub struct BatchReport {
     /// per request (chiefly: cache keys are compiled into the program
     /// instead of re-derived per execution).
     pub tree_walk: LoadReport,
-    /// The batched+cached configuration with the pooled execution arenas
-    /// disabled (`arena_kb = 0`) — the allocation-count control.
-    pub no_arena: LoadReport,
     /// Answers (either side) that did not byte-match the single-threaded
     /// reference. Must be zero.
     pub mismatches: u64,
@@ -109,10 +104,6 @@ pub struct BatchReport {
     /// Measured heap allocations per request of the batched side (0.0
     /// when the counting allocator is not registered in this build).
     pub allocs_per_request: f64,
-    /// Measured heap allocations per request of the no-arena control.
-    pub no_arena_allocs_per_request: f64,
-    /// Arena-pool recycling counters of the batched side.
-    pub arena: service::pool::ArenaPoolStats,
 }
 
 impl BatchReport {
@@ -142,26 +133,6 @@ impl BatchReport {
             && self.baseline.errors == 0
             && self.cached.errors == 0
             && self.tree_walk.errors == 0
-            && self.no_arena.errors == 0
-    }
-
-    /// Fraction of per-request heap allocations the arena removed, in
-    /// `[0, 1]` (batched vs the arena-disabled control). Zero when the
-    /// counting allocator is not registered.
-    pub fn arena_alloc_reduction(&self) -> f64 {
-        if self.no_arena_allocs_per_request <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.allocs_per_request / self.no_arena_allocs_per_request).max(0.0)
-    }
-
-    /// Arena-pool reuse rate in `[0, 1]` (reused checkouts over all
-    /// checkouts of the batched side).
-    pub fn arena_reuse_rate(&self) -> f64 {
-        if self.arena.checkouts == 0 {
-            return 0.0;
-        }
-        self.arena.reuses as f64 / self.arena.checkouts as f64
     }
 
     /// The `BENCH_batch.json` document for this comparison (hand-rolled;
@@ -171,32 +142,21 @@ impl BatchReport {
             "{{\"experiment\":\"batch\",\"factor\":{factor},\"clients\":{clients},\
              \"requests\":{requests},\"seed\":{seed},\
              \"batched\":{},\"per_request\":{},\"cached_per_request\":{},\
-             \"tree_walk\":{},\"no_arena\":{},\"speedup\":{:.2},\
+             \"tree_walk\":{},\"speedup\":{:.2},\
              \"ir_speedup\":{:.2},\
              \"match_cache_hit_rate\":{:.4},\"batches\":{},\"max_batch\":{},\
              \"batched_allocs_per_request\":{:.1},\
-             \"no_arena_allocs_per_request\":{:.1},\
-             \"arena_alloc_reduction\":{:.4},\
-             \"arena_checkouts\":{},\"arena_reuses\":{},\"arena_discards\":{},\
-             \"arena_reuse_rate\":{:.4},\
              \"mismatches\":{}}}\n",
             crate::rw::load_report_json(&self.batched),
             crate::rw::load_report_json(&self.baseline),
             crate::rw::load_report_json(&self.cached),
             crate::rw::load_report_json(&self.tree_walk),
-            crate::rw::load_report_json(&self.no_arena),
             self.speedup(),
             self.ir_speedup(),
             self.hit_rate,
             self.batches,
             self.max_batch,
             self.allocs_per_request,
-            self.no_arena_allocs_per_request,
-            self.arena_alloc_reduction(),
-            self.arena.checkouts,
-            self.arena.reuses,
-            self.arena.discards,
-            self.arena_reuse_rate(),
             self.mismatches,
         )
     }
@@ -209,20 +169,17 @@ impl BatchReport {
              per-request    : {}\n\
              cached (ir on) : {}\n\
              tree-walk (ir off): {}\n\
-             no-arena (arena-kb 0): {}\n\
              throughput gain from match cache + batching: {:.2}x\n\
              per-request gain from register IR (ir on vs off): {:.2}x\n\
              ir non-regression: {}\n\
              match cache hit rate: {:.1}%  batches: {}  max batch: {}\n\
-             heap allocs/request: batched {:.0} vs arena-off {:.0} ({:.1}% fewer)\n\
-             arena pool: {} checkout(s), {} reuse(s) ({:.1}% reuse rate), {} discard(s)\n\
+             heap allocs/request (batched): {:.0}\n\
              byte mismatches vs single-threaded reference: {}\n",
             HOT_SET.len(),
             self.batched.summary(),
             self.baseline.summary(),
             self.cached.summary(),
             self.tree_walk.summary(),
-            self.no_arena.summary(),
             self.speedup(),
             self.ir_speedup(),
             if self.ir_speedup() >= 0.85 { "ok" } else { "REGRESSED" },
@@ -230,12 +187,6 @@ impl BatchReport {
             self.batches,
             self.max_batch,
             self.allocs_per_request,
-            self.no_arena_allocs_per_request,
-            self.arena_alloc_reduction() * 100.0,
-            self.arena.checkouts,
-            self.arena.reuses,
-            self.arena_reuse_rate() * 100.0,
-            self.arena.discards,
             self.mismatches,
         )
     }
@@ -356,7 +307,6 @@ pub fn batched_vs_per_request_on(
     let baseline_cfg = ServiceConfig { match_cache_bytes: 0, batch_max: 1, ..batched_cfg.clone() };
     let cached_cfg = ServiceConfig { batch_max: 1, ..batched_cfg.clone() };
     let tree_walk_cfg = ServiceConfig { ir: false, ..cached_cfg.clone() };
-    let no_arena_cfg = ServiceConfig { arena_kb: 0, ..batched_cfg.clone() };
     let mismatches = AtomicU64::new(0);
 
     let batched_svc = Service::new(Arc::clone(&db), batched_cfg);
@@ -366,7 +316,6 @@ pub fn batched_vs_per_request_on(
     let lookups = cache.hits + cache.misses;
     let hit_rate = if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 };
     let pool = batched_svc.batch_stats();
-    let arena = batched_svc.arena_stats();
 
     let baseline_svc = Service::new(Arc::clone(&db), baseline_cfg);
     let baseline = run_mix(&baseline_svc, clients, requests, seed, &texts, &refs, &mismatches);
@@ -374,26 +323,19 @@ pub fn batched_vs_per_request_on(
     let cached_svc = Service::new(Arc::clone(&db), cached_cfg);
     let cached = run_mix(&cached_svc, clients, requests, seed, &texts, &refs, &mismatches);
 
-    let tree_walk_svc = Service::new(Arc::clone(&db), tree_walk_cfg);
+    let tree_walk_svc = Service::new(db, tree_walk_cfg);
     let tree_walk = run_mix(&tree_walk_svc, clients, requests, seed, &texts, &refs, &mismatches);
-
-    let no_arena_svc = Service::new(db, no_arena_cfg);
-    let (no_arena, no_arena_allocs_per_request) =
-        counted_mix(&no_arena_svc, clients, requests, seed, &texts, &refs, &mismatches);
 
     BatchReport {
         batched,
         baseline,
         cached,
         tree_walk,
-        no_arena,
         mismatches: mismatches.into_inner(),
         hit_rate,
         batches: pool.batches,
         max_batch: pool.max_batch,
         allocs_per_request,
-        no_arena_allocs_per_request,
-        arena,
     }
 }
 
@@ -434,37 +376,20 @@ mod tests {
         let report = batched_vs_per_request(0.0005, 4, 30, 7);
         assert!(report.clean(), "defects: {}", report.render(0.0005));
         assert_eq!(
-            report.batched.ok
-                + report.baseline.ok
-                + report.cached.ok
-                + report.tree_walk.ok
-                + report.no_arena.ok,
-            5 * 4 * 30
+            report.batched.ok + report.baseline.ok + report.cached.ok + report.tree_walk.ok,
+            4 * 4 * 30
         );
         assert!(report.hit_rate > 0.0, "hot set never hit the match cache");
         assert!(report.batches > 0);
-        assert!(report.arena.checkouts > 0, "batched side never checked out an arena");
-        assert!(report.arena.reuses > 0, "the pool never recycled an arena across requests");
-        // The test build registers the counting allocator, so the arena
-        // must show a *measured* reduction in heap allocations/request
-        // against the identical configuration with arenas off.
+        // The test build registers the counting allocator.
         assert!(report.allocs_per_request > 0.0, "counting allocator not active");
-        assert!(
-            report.allocs_per_request < report.no_arena_allocs_per_request,
-            "arena did not reduce allocations: {:.0} vs {:.0}",
-            report.allocs_per_request,
-            report.no_arena_allocs_per_request
-        );
         let rendered = report.render(0.0005);
         assert!(rendered.contains("match cache hit rate"), "{rendered}");
         assert!(rendered.contains("register IR"), "{rendered}");
         assert!(rendered.contains("heap allocs/request"), "{rendered}");
-        assert!(rendered.contains("arena pool:"), "{rendered}");
         let json = report.to_json(0.0005, 4, 30, 7);
         assert!(json.contains("\"tree_walk\":"), "{json}");
         assert!(json.contains("\"ir_speedup\":"), "{json}");
-        assert!(json.contains("\"no_arena\":"), "{json}");
         assert!(json.contains("\"batched_allocs_per_request\":"), "{json}");
-        assert!(json.contains("\"arena_reuse_rate\":"), "{json}");
     }
 }

@@ -149,9 +149,6 @@ pub struct DbCounters {
     pub ops_eliminated: u64,
     /// Lint warnings raised while compiling plans for this database.
     pub lints: u64,
-    /// Requests served by the intra-query sharding path (the per-database
-    /// parallel-QPS numerator; the caller divides by its own wall clock).
-    pub parallel_requests: u64,
 }
 
 #[derive(Debug, Default)]
@@ -178,11 +175,6 @@ struct Inner {
     ir_compiles: u64,
     ir_cache_hits: u64,
     ir_compile: Histogram,
-    shards_executed: u64,
-    shard_fallback_sequential: u64,
-    merge: Histogram,
-    arena_requests: u64,
-    arena_hwm_sum: u64,
 }
 
 /// Thread-safe metrics registry; one per [`crate::Service`].
@@ -205,10 +197,6 @@ impl Metrics {
         m.latency.record(latency);
         m.exec.absorb(stats);
         m.ok += 1;
-        if stats.arena_bytes > 0 {
-            m.arena_requests += 1;
-            m.arena_hwm_sum = m.arena_hwm_sum.saturating_add(stats.arena_bytes);
-        }
         let entry = if m.per_query.len() >= MAX_QUERY_ENTRIES && !m.per_query.contains_key(label) {
             m.per_query.entry("(other)".into()).or_default()
         } else {
@@ -301,23 +289,6 @@ impl Metrics {
         self.inner.lock().unwrap().ir_cache_hits += 1;
     }
 
-    /// Records one request served by the intra-query sharding path: how
-    /// many shard jobs it ran and how long the document-order merge
-    /// (concatenation + central serialization) took.
-    pub fn record_sharded(&self, db: &str, shard_jobs: u64, merge: Duration) {
-        let mut m = self.inner.lock().unwrap();
-        m.shards_executed += shard_jobs;
-        m.merge.record(merge);
-        m.per_db.entry(db.into()).or_default().parallel_requests += 1;
-    }
-
-    /// Records one request that a sharding-enabled service executed
-    /// sequentially anyway — the planner declined the plan, the anchor was
-    /// too small, or the queue could not take the whole shard wave.
-    pub fn record_shard_fallback(&self) {
-        self.inner.lock().unwrap().shard_fallback_sequential += 1;
-    }
-
     /// Records one compile-time analysis of a plan bound to `db`: whether
     /// the liveness pass pruned it, how many operators the pruning removed,
     /// and how many lint warnings the plan carries.
@@ -350,11 +321,6 @@ impl Metrics {
             ir_compiles: m.ir_compiles,
             ir_cache_hits: m.ir_cache_hits,
             ir_compile: m.ir_compile.clone(),
-            shards_executed: m.shards_executed,
-            shard_fallback_sequential: m.shard_fallback_sequential,
-            merge: m.merge.clone(),
-            arena_requests: m.arena_requests,
-            arena_hwm_sum: m.arena_hwm_sum,
             per_db,
         }
     }
@@ -392,12 +358,6 @@ impl Metrics {
                     c.updates, c.plans_seeded, c.matches_seeded
                 ));
             }
-            if c.parallel_requests > 0 {
-                out.push_str(&format!(
-                    "  db {name}: {} request(s) served by intra-query shards\n",
-                    c.parallel_requests
-                ));
-            }
             if c.plans_pruned > 0 || c.ops_eliminated > 0 || c.lints > 0 || c.matches_extra > 0 {
                 out.push_str(&format!(
                     "  db {name}: analyzer pruned {} plan(s) ({} operator(s) eliminated), {} lint(s) raised, {} match entr(ies) carried by precise footprints alone\n",
@@ -431,21 +391,6 @@ impl Metrics {
             "executor match cache: {} hits / {} misses\n",
             e.match_cache_hits, e.match_cache_misses
         ));
-        if m.arena_requests > 0 || e.fallback_allocs > 0 {
-            let mean_kib = if m.arena_requests == 0 {
-                0.0
-            } else {
-                m.arena_hwm_sum as f64 / m.arena_requests as f64 / 1024.0
-            };
-            out.push_str(&format!(
-                "executor arena: {} arena-backed request(s), high-water mean {:.1} KiB / max {:.1} KiB, {} fallback alloc(s), {} recycled checkout(s)\n",
-                m.arena_requests,
-                mean_kib,
-                e.arena_bytes as f64 / 1024.0,
-                e.fallback_allocs,
-                e.arena_resets
-            ));
-        }
         if m.ir_compiles > 0 || m.ir_cache_hits > 0 {
             out.push_str(&format!(
                 "ir: {} program(s) compiled, {} compiled-program reuse(s), compile count={} mean={:?} p95={:?} max={:?}\n",
@@ -455,22 +400,6 @@ impl Metrics {
                 m.ir_compile.mean(),
                 m.ir_compile.quantile(0.95),
                 m.ir_compile.max()
-            ));
-        }
-        if m.merge.count() > 0 || m.shard_fallback_sequential > 0 {
-            out.push_str(&format!(
-                "parallel: {} sharded request(s), {} shard job(s) executed, {} sequential fallback(s)\n",
-                m.merge.count(),
-                m.shards_executed,
-                m.shard_fallback_sequential
-            ));
-            out.push_str(&format!(
-                "shard merge: count={} mean={:?} p50={:?} p95={:?} max={:?}\n",
-                m.merge.count(),
-                m.merge.mean(),
-                m.merge.quantile(0.50),
-                m.merge.quantile(0.95),
-                m.merge.max()
             ));
         }
         if !m.per_query.is_empty() {
@@ -537,23 +466,6 @@ pub struct Snapshot {
     pub ir_cache_hits: u64,
     /// Per-lowering compile-time histogram.
     pub ir_compile: Histogram,
-    /// Shard jobs run by the intra-query sharding path, summed over every
-    /// sharded request (stage jobs included).
-    pub shards_executed: u64,
-    /// Requests a sharding-enabled service ran sequentially anyway
-    /// (unshardable plan, anchor below the cost threshold, or a full
-    /// queue rejecting the shard wave).
-    pub shard_fallback_sequential: u64,
-    /// Per-request document-order merge times (shard-output concatenation
-    /// plus central serialization); `merge.count()` is the number of
-    /// sharded requests served.
-    pub merge: Histogram,
-    /// Requests whose executor drew from a live arena (`arena_bytes > 0`).
-    pub arena_requests: u64,
-    /// Sum of per-request arena high-water marks in bytes (divide by
-    /// [`Snapshot::arena_requests`] for the mean; the max is
-    /// `exec.arena_bytes`, which absorbs by maximum).
-    pub arena_hwm_sum: u64,
     /// Per-database counters, sorted by database name.
     pub per_db: Vec<(String, DbCounters)>,
 }
@@ -701,46 +613,6 @@ mod tests {
         assert_eq!((s.ir_compiles, s.ir_cache_hits, s.ir_compile.count()), (1, 2, 1));
         let r = m.report();
         assert!(r.contains("ir: 1 program(s) compiled, 2 compiled-program reuse(s)"), "{r}");
-    }
-
-    #[test]
-    fn shard_counters_track_jobs_fallbacks_and_merge_times() {
-        let m = Metrics::new();
-        assert!(!m.report().contains("parallel:"), "no shard activity recorded yet");
-        m.record_sharded("a", 5, Duration::from_micros(120));
-        m.record_sharded("a", 9, Duration::from_micros(80));
-        m.record_shard_fallback();
-        let s = m.snapshot();
-        assert_eq!((s.shards_executed, s.shard_fallback_sequential, s.merge.count()), (14, 1, 2));
-        assert_eq!(s.db("a").unwrap().parallel_requests, 2);
-        let r = m.report();
-        assert!(
-            r.contains("parallel: 2 sharded request(s), 14 shard job(s) executed, 1 sequential fallback(s)"),
-            "{r}"
-        );
-        assert!(r.contains("shard merge: count=2"), "{r}");
-        assert!(r.contains("db a: 2 request(s) served by intra-query shards"), "{r}");
-    }
-
-    #[test]
-    fn arena_counters_only_report_when_active() {
-        let m = Metrics::new();
-        m.record_request("q", Duration::from_micros(10), &ExecStats::new());
-        assert!(!m.report().contains("executor arena:"), "no arena activity recorded yet");
-        let mut st = ExecStats::new();
-        st.arena_bytes = 2048;
-        st.fallback_allocs = 5;
-        st.arena_resets = 1;
-        m.record_request("q", Duration::from_micros(10), &st);
-        let s = m.snapshot();
-        assert_eq!((s.arena_requests, s.arena_hwm_sum), (1, 2048));
-        let r = m.report();
-        assert!(
-            r.contains(
-                "executor arena: 1 arena-backed request(s), high-water mean 2.0 KiB / max 2.0 KiB, 5 fallback alloc(s), 1 recycled checkout(s)"
-            ),
-            "{r}"
-        );
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!
 //! Each worker is a plain `std::thread`. Deadline aborts inside execution
 //! are cooperative (see `tlc::exec`), so a timed-out request returns a
-//! typed error and the worker moves on — nothing is left wedged.
+//! typed error and the worker moves on — nothing is left wedged. A job
+//! that panics is caught on its worker and answered with
+//! [`Reply::Panicked`]; the worker keeps serving the rest of its batch and
+//! the queue, so a panic never shrinks the pool or strands other replies.
 //!
 //! Dropping the pool closes admission; workers drain what was already
 //! admitted and exit, and `Drop` joins them all.
@@ -32,6 +35,7 @@
 //! client-side decision; the pool itself never cancels running work.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -67,6 +71,13 @@ pub enum Reply<T> {
         /// How long the job sat in the queue before expiry was noticed.
         queue_wait: Duration,
     },
+    /// The closure panicked. The worker caught the panic and keeps serving.
+    Panicked {
+        /// The panic payload, when it was a string.
+        message: String,
+        /// How long the job sat in the queue before a worker picked it up.
+        queue_wait: Duration,
+    },
 }
 
 /// Why a submission failed.
@@ -89,22 +100,6 @@ pub struct BatchStats {
     pub max_batch: u64,
 }
 
-/// Cumulative shard-admission counters; read through [`Pool::shard_stats`].
-/// A *wave* is one [`Pool::submit_shards`] call — the shard jobs of one
-/// request admitted atomically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard waves admitted.
-    pub waves: u64,
-    /// Shard jobs admitted across all waves.
-    pub jobs: u64,
-    /// Largest wave admitted so far.
-    pub max_wave: u64,
-    /// Waves rejected whole because the queue could not take every job
-    /// (the caller falls back to sequential execution).
-    pub rejected_waves: u64,
-}
-
 struct State<T> {
     jobs: VecDeque<Job<T>>,
     open: bool,
@@ -117,10 +112,6 @@ struct Shared<T> {
     batches: AtomicU64,
     batched_jobs: AtomicU64,
     max_batch: AtomicU64,
-    shard_waves: AtomicU64,
-    shard_jobs: AtomicU64,
-    max_wave: AtomicU64,
-    shard_rejected: AtomicU64,
 }
 
 /// Fixed-size worker pool over a bounded job queue with same-group
@@ -149,10 +140,6 @@ impl<T: Send + 'static> Pool<T> {
             batches: AtomicU64::new(0),
             batched_jobs: AtomicU64::new(0),
             max_batch: AtomicU64::new(0),
-            shard_waves: AtomicU64::new(0),
-            shard_jobs: AtomicU64::new(0),
-            max_wave: AtomicU64::new(0),
-            shard_rejected: AtomicU64::new(0),
         });
         let handles = (0..workers.max(1))
             .map(|i| {
@@ -201,46 +188,6 @@ impl<T: Send + 'static> Pool<T> {
         Ok(reply_rx)
     }
 
-    /// Queues one request's shard jobs **atomically**: either every job is
-    /// admitted (in order, as one contiguous run) or none is and the whole
-    /// wave is rejected with [`SubmitError::QueueFull`] — a partially
-    /// admitted wave would wedge its caller, which must await every shard
-    /// before it can merge. All jobs share `group`, so batch-aware dispatch
-    /// lets one worker claim several shards of the same request back to
-    /// back instead of interleaving unrelated work between them.
-    pub fn submit_shards(
-        &self,
-        deadline: Option<Instant>,
-        group: Option<Arc<str>>,
-        works: Vec<Box<dyn FnOnce() -> T + Send>>,
-    ) -> Result<Vec<Receiver<Reply<T>>>, SubmitError> {
-        let submitted = Instant::now();
-        let mut receivers = Vec::with_capacity(works.len());
-        let mut jobs = Vec::with_capacity(works.len());
-        for work in works {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            receivers.push(reply_rx);
-            jobs.push(Job { deadline, submitted, group: group.clone(), work, reply: reply_tx });
-        }
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            if !st.open {
-                return Err(SubmitError::Disconnected);
-            }
-            if st.jobs.len() + jobs.len() > self.queue_depth {
-                self.shared.shard_rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::QueueFull);
-            }
-            let n = jobs.len() as u64;
-            self.shared.shard_waves.fetch_add(1, Ordering::Relaxed);
-            self.shared.shard_jobs.fetch_add(n, Ordering::Relaxed);
-            self.shared.max_wave.fetch_max(n, Ordering::Relaxed);
-            st.jobs.extend(jobs);
-        }
-        self.shared.available.notify_all();
-        Ok(receivers)
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -254,16 +201,6 @@ impl<T: Send + 'static> Pool<T> {
             max_batch: self.shared.max_batch.load(Ordering::Relaxed),
         }
     }
-
-    /// Cumulative shard-admission counters.
-    pub fn shard_stats(&self) -> ShardStats {
-        ShardStats {
-            waves: self.shared.shard_waves.load(Ordering::Relaxed),
-            jobs: self.shared.shard_jobs.load(Ordering::Relaxed),
-            max_wave: self.shared.max_wave.load(Ordering::Relaxed),
-            rejected_waves: self.shared.shard_rejected.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl<T: Send + 'static> Drop for Pool<T> {
@@ -274,107 +211,6 @@ impl<T: Send + 'static> Drop for Pool<T> {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// Cumulative arena-recycling counters; read through [`ArenaPool::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArenaPoolStats {
-    /// Arenas handed out (recycled and fresh combined).
-    pub checkouts: u64,
-    /// Checkouts served by resetting a previously restored arena.
-    pub reuses: u64,
-    /// Arenas dropped instead of recycled: failed or cancelled jobs (see
-    /// [`ArenaPool::discard`]) plus restores past the pool's capacity.
-    pub discards: u64,
-}
-
-/// Recycles [`tlc::ExecArena`]s across requests and shard jobs.
-///
-/// Reset, don't free: a restored arena keeps its parked buffers, so one
-/// request's allocations become the next request's capacity. Every job —
-/// sequential request or single shard of a wave — checks out its own
-/// arena, which keeps sibling shards allocation-disjoint (the PR 9
-/// byte-identity argument never sees the arena). Jobs that fail or are
-/// cancelled must [`ArenaPool::discard`] instead of restoring: their
-/// arena died with the job's context and is never reused.
-///
-/// A `limit_bytes` of 0 disables recycling entirely — checkouts hand out
-/// [`tlc::ExecArena::disabled`] instances, reproducing the seed
-/// allocation behavior (the `--arena-kb 0` escape hatch).
-pub struct ArenaPool {
-    limit_bytes: usize,
-    /// Most arenas kept parked; sized to the worker count, since at most
-    /// that many jobs run (and restore) concurrently.
-    capacity: usize,
-    free: Mutex<Vec<tlc::ExecArena>>,
-    checkouts: AtomicU64,
-    reuses: AtomicU64,
-    discards: AtomicU64,
-}
-
-impl ArenaPool {
-    /// A pool handing out arenas capped at `limit_bytes` retained bytes,
-    /// parking at most `capacity` of them between jobs.
-    pub fn new(limit_bytes: usize, capacity: usize) -> ArenaPool {
-        ArenaPool {
-            limit_bytes,
-            capacity: capacity.max(1),
-            free: Mutex::new(Vec::new()),
-            checkouts: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
-            discards: AtomicU64::new(0),
-        }
-    }
-
-    /// An arena for one job, plus whether it was recycled (reset) rather
-    /// than freshly built.
-    pub fn checkout(&self) -> (tlc::ExecArena, bool) {
-        self.checkouts.fetch_add(1, Ordering::Relaxed);
-        if self.limit_bytes == 0 {
-            return (tlc::ExecArena::disabled(), false);
-        }
-        match self.free.lock().unwrap().pop() {
-            Some(mut arena) => {
-                arena.reset();
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                (arena, true)
-            }
-            None => (tlc::ExecArena::with_limit(self.limit_bytes), false),
-        }
-    }
-
-    /// Returns a successful job's arena for reuse. Past capacity (or with
-    /// recycling disabled) the arena is dropped and counted as a discard.
-    pub fn restore(&self, arena: tlc::ExecArena) {
-        if self.limit_bytes > 0 {
-            let mut free = self.free.lock().unwrap();
-            if free.len() < self.capacity {
-                free.push(arena);
-                return;
-            }
-        }
-        self.discards.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records that a job's arena died with it (error, cancellation, or
-    /// deadline expiry) — the no-reuse-after-failure rule.
-    pub fn discard(&self) {
-        self.discards.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cumulative recycling counters.
-    pub fn stats(&self) -> ArenaPoolStats {
-        ArenaPoolStats {
-            checkouts: self.checkouts.load(Ordering::Relaxed),
-            reuses: self.reuses.load(Ordering::Relaxed),
-            discards: self.discards.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The retained-byte cap of every arena this pool hands out.
-    pub fn limit_bytes(&self) -> usize {
-        self.limit_bytes
     }
 }
 
@@ -414,12 +250,26 @@ fn worker_loop<T>(shared: Arc<Shared<T>>) {
             let queue_wait = job.submitted.elapsed();
             let reply = match job.deadline {
                 Some(d) if Instant::now() >= d => Reply::ExpiredInQueue { queue_wait },
-                _ => Reply::Done { value: (job.work)(), queue_wait },
+                _ => match catch_unwind(AssertUnwindSafe(job.work)) {
+                    Ok(value) => Reply::Done { value, queue_wait },
+                    Err(payload) => {
+                        Reply::Panicked { message: panic_message(&*payload), queue_wait }
+                    }
+                },
             };
             // The requester may have given up (e.g. its own recv timeout);
             // a dead reply channel is not a worker error.
             let _ = job.reply.send(reply);
         }
+    }
+}
+
+/// The text of a panic payload: `panic!` with a literal carries a `&str`,
+/// with format arguments a `String`.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s.to_string(),
+        None => payload.downcast_ref::<String>().cloned().unwrap_or_else(|| "(no message)".into()),
     }
 }
 
@@ -437,7 +287,7 @@ mod tests {
                 assert_eq!(value, 42);
                 assert!(queue_wait < Duration::from_secs(5));
             }
-            Reply::ExpiredInQueue { .. } => panic!("no deadline was set"),
+            _ => panic!("no deadline was set"),
         }
         let s = pool.batch_stats();
         assert_eq!((s.batches, s.jobs, s.max_batch), (1, 1, 1));
@@ -482,7 +332,7 @@ mod tests {
         for (i, rx) in receivers.into_iter().enumerate() {
             match rx.recv().unwrap() {
                 Reply::Done { value, .. } => assert_eq!(value, i as u64),
-                Reply::ExpiredInQueue { .. } => panic!("no deadline"),
+                _ => panic!("no deadline"),
             }
         }
     }
@@ -512,7 +362,7 @@ mod tests {
         let rx = pool.submit(None, Box::new(|| 99)).unwrap();
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
             Reply::Done { value, .. } => assert_eq!(value, 99),
-            Reply::ExpiredInQueue { .. } => panic!("no deadline"),
+            _ => panic!("no deadline"),
         }
     }
 
@@ -529,7 +379,7 @@ mod tests {
             Reply::Done { queue_wait, .. } => {
                 assert!(queue_wait >= Duration::from_millis(30), "waited only {queue_wait:?}");
             }
-            Reply::ExpiredInQueue { .. } => panic!("no deadline"),
+            _ => panic!("no deadline"),
         }
     }
 
@@ -563,7 +413,7 @@ mod tests {
         for (i, rx) in receivers.into_iter().enumerate() {
             match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
                 Reply::Done { value, .. } => assert_eq!(value, i),
-                Reply::ExpiredInQueue { .. } => panic!("no deadline"),
+                _ => panic!("no deadline"),
             }
         }
         // Gate dispatch + one batch per group: 3 dispatches for 7 jobs,
@@ -662,110 +512,28 @@ mod tests {
     }
 
     #[test]
-    fn shard_wave_admits_all_or_nothing() {
-        // One worker parked in a gate job, queue depth 2: a 3-job wave must
-        // be rejected whole (no partial admission), then a 2-job wave fits.
-        let pool: Pool<usize> = Pool::new(1, 2);
-        let (block_tx, block_rx) = sync_channel::<()>(0);
-        let _gate = pool
-            .submit(
-                None,
-                Box::new(move || {
-                    let _ = block_rx.recv();
-                    0
-                }),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let works = |n: usize| -> Vec<Box<dyn FnOnce() -> usize + Send>> {
-            (0..n).map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>).collect()
-        };
-        let g: Arc<str> = Arc::from("db\u{1}0\u{1}shard-1");
-        let rejected = pool.submit_shards(None, Some(Arc::clone(&g)), works(3));
-        assert_eq!(rejected.unwrap_err(), SubmitError::QueueFull);
-        let admitted = pool.submit_shards(None, Some(Arc::clone(&g)), works(2)).unwrap();
-        block_tx.send(()).unwrap();
-        for (i, rx) in admitted.into_iter().enumerate() {
-            match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-                Reply::Done { value, .. } => assert_eq!(value, i),
-                Reply::ExpiredInQueue { .. } => panic!("no deadline"),
-            }
+    fn a_panicking_job_does_not_kill_its_worker() {
+        // One worker and batching on: the panicking job and the normal job
+        // behind it may share a dispatch. Both must be answered, and the
+        // sole worker must still serve later submissions.
+        let pool: Pool<i32> = Pool::batched(1, 8, 8);
+        let g: Arc<str> = Arc::from("db\u{1}0");
+        let boom =
+            pool.submit_grouped(None, Some(Arc::clone(&g)), Box::new(|| panic!("boom"))).unwrap();
+        let next = pool.submit_grouped(None, Some(g), Box::new(|| 7)).unwrap();
+        match boom.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Reply::Panicked { message, .. } => assert_eq!(message, "boom"),
+            _ => panic!("the panic must come back as Reply::Panicked"),
         }
-        let s = pool.shard_stats();
-        assert_eq!((s.waves, s.jobs, s.max_wave, s.rejected_waves), (1, 2, 2, 1));
-    }
-
-    #[test]
-    fn shard_wave_batches_onto_one_worker_dispatch() {
-        // Shard jobs share their group, so one freed worker claims the
-        // whole wave as a single batch dispatch.
-        let pool: Pool<usize> = Pool::batched(1, 16, 8);
-        let (block_tx, block_rx) = sync_channel::<()>(0);
-        let _gate = pool
-            .submit(
-                None,
-                Box::new(move || {
-                    let _ = block_rx.recv();
-                    0
-                }),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let g: Arc<str> = Arc::from("db\u{1}0\u{1}shard-2");
-        let works: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..3usize).map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>).collect();
-        let receivers = pool.submit_shards(None, Some(g), works).unwrap();
-        block_tx.send(()).unwrap();
-        for rx in receivers {
-            assert!(matches!(
-                rx.recv_timeout(Duration::from_secs(10)).unwrap(),
-                Reply::Done { .. }
-            ));
-        }
-        let s = pool.batch_stats();
-        assert_eq!((s.batches, s.jobs, s.max_batch), (2, 4, 3)); // gate + one 3-shard batch
-    }
-
-    #[test]
-    fn arena_pool_recycles_restored_capacity() {
-        let pool = ArenaPool::new(64 * 1024, 2);
-        let (mut a, recycled) = pool.checkout();
-        assert!(!recycled, "first checkout has nothing to recycle");
-        let (mut buf, _) = a.take_nodes();
-        buf.reserve(16);
-        a.give_nodes(buf);
-        pool.restore(a);
-        let (a2, recycled) = pool.checkout();
-        assert!(recycled);
-        assert!(a2.retained_bytes() > 0, "parked capacity survives the pooled reset");
-        pool.discard();
-        let s = pool.stats();
-        assert_eq!((s.checkouts, s.reuses, s.discards), (2, 1, 1));
-    }
-
-    #[test]
-    fn disabled_arena_pool_hands_out_seed_arenas() {
-        let pool = ArenaPool::new(0, 4);
-        let (a, recycled) = pool.checkout();
-        assert!(!recycled);
-        assert_eq!(a.limit(), 0, "arena_kb 0 must reproduce the no-arena seed path");
-        pool.restore(a); // dropped, not parked
-        let (b, recycled) = pool.checkout();
-        assert!(!recycled, "nothing is ever recycled at limit 0");
-        assert_eq!(b.limit(), 0);
-        assert_eq!(pool.stats().discards, 1);
-    }
-
-    #[test]
-    fn arena_pool_capacity_bounds_parked_arenas() {
-        let pool = ArenaPool::new(64 * 1024, 1);
-        let (a, _) = pool.checkout();
-        let (b, _) = pool.checkout();
-        pool.restore(a);
-        pool.restore(b); // over capacity: dropped and counted
-        assert_eq!(pool.stats().discards, 1);
-        let (_, recycled) = pool.checkout();
-        assert!(recycled, "the one parked arena is still served");
+        assert!(matches!(
+            next.recv_timeout(Duration::from_secs(10)).unwrap(),
+            Reply::Done { value: 7, .. }
+        ));
+        let later = pool.submit(None, Box::new(|| 8)).unwrap();
+        assert!(matches!(
+            later.recv_timeout(Duration::from_secs(10)).unwrap(),
+            Reply::Done { value: 8, .. }
+        ));
     }
 
     #[test]

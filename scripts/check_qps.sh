@@ -5,8 +5,9 @@
 # carry allocation counts (`*allocs_per_request`, from the counting
 # allocator in `experiments batch`) are additionally gated the other way:
 # a fresh count may not exceed its baseline by more than 1/TOLERANCE —
-# an allocation regression means the execution arena stopped absorbing
-# buffer traffic, which QPS alone can miss on fast hardware.
+# an allocation regression means some layer of the request path started
+# allocating per request (a cloned cache entry, a rebuilt key, a fresh
+# buffer in a loop), which QPS alone can miss on fast hardware.
 #
 #   usage: check_qps.sh BASELINE.json FRESH.json [TOLERANCE]
 #
@@ -58,7 +59,7 @@ paste <(echo "$base_vals") <(echo "$fresh_vals") | awk -v tol="$tolerance" '
 
 # Allocation-count gate (upper bound). Only engages when both reports
 # carry the figures, so reports without the counting allocator's output
-# (rw, parallel) pass through untouched.
+# (rw) pass through untouched.
 extract_allocs() {
     grep -oE '"[a-z_]*allocs_per_request":[0-9]+(\.[0-9]+)?' "$1" | cut -d: -f2 || true
 }
